@@ -365,13 +365,17 @@ class BSPCluster:
             c.wait_until(t)
         return t
 
+    def _corruption_pending(self) -> bool:
+        fault = self._pending_fault
+        return self._injector is not None and fault is not None and bool(fault.corruptions)
+
     def _apply_corruption(
         self, values: list, label: str
     ) -> list:
         """Corrupt per-rank contributions per the pending collective fault."""
-        fault = self._pending_fault
-        if self._injector is None or fault is None or not fault.corruptions:
+        if not self._corruption_pending():
             return values
+        fault = self._pending_fault
         out = list(values)
         t = self.elapsed
         for r in sorted(fault.corruptions):
@@ -601,41 +605,43 @@ class BSPCluster:
         self._finish_collective(label, start, cost, PhaseKind.COLLECTIVE)
 
     # -------------------------- sparse collectives -------------------- #
-    def _check_sparse_buffers(
+    def _check_comm_buffers(
         self, values: Sequence[sc.SparseVector | np.ndarray], what: str
-    ) -> list[sc.SparseVector]:
+    ) -> tuple[list[sc.SparseVector | np.ndarray], int]:
         if len(values) != self.nranks:
             raise CommunicatorError(
                 f"{what} needs one buffer per rank ({self.nranks}), got {len(values)}"
             )
-        vectors = [sc.as_sparse_vector(v) for v in values]
-        n = vectors[0].n
-        for i, v in enumerate(vectors):
-            if v.n != n:
-                raise CommunicatorError(
-                    f"{what} length mismatch: rank 0 has n={n}, rank {i} has n={v.n}"
-                )
-        return vectors
+        return sc.check_contributions(values, what)
 
     def sparse_allreduce(
         self,
         values: Sequence[sc.SparseVector | np.ndarray],
         op: Callable[[np.ndarray, np.ndarray], np.ndarray] | str = "sum",
         label: str = "sparse_allreduce",
+        *,
+        union: np.ndarray | None = None,
     ) -> np.ndarray:
         """Allreduce of per-rank sparse (index+value) buffers.
 
         Numerically bit-identical to :meth:`allreduce` on the densified
         inputs; charges :func:`~repro.distsim.collectives.sparse_allreduce_cost`
         — O(nnz_union) words with stream-and-switch densification — and
-        logs the measured union density into the trace.
+        logs the measured union density into the trace. *union* is the
+        sorted support union when the caller has already measured it
+        (:meth:`allreduce_comm` does).
+
+        Dense contributions are never encoded, except when a corruption is
+        pending: the fault then hits a stored value of the rank's
+        index+value buffer, as it would on the wire.
         """
-        vectors = self._check_sparse_buffers(values, "sparse_allreduce")
+        items, n = self._check_comm_buffers(values, "sparse_allreduce")
         self._note_decision("sparse")
         start = self._sync_start(label)
-        vectors = self._apply_corruption(vectors, label)
-        reduced = sc.sparse_allreduce_values(vectors, op)
-        n, nnz = vectors[0].n, reduced.nnz
+        if self._corruption_pending():
+            items = self._apply_corruption([sc.as_sparse_vector(v) for v in items], label)
+        reduced = sc.sparse_allreduce_values(items, op, union=union)
+        nnz = reduced.nnz
         cost = coll.sparse_allreduce_cost(
             self.machine, self.nranks, n, nnz, self.allreduce_algorithm
         )
@@ -692,24 +698,22 @@ class BSPCluster:
             return self._allreduce_compressed(values, op=op, label=label)
         if mode == "dense":
             result = self.allreduce(
-                [sc.as_sparse_vector(v).to_dense() if isinstance(v, sc.SparseVector) else v
-                 for v in values],
+                [v.to_dense() if isinstance(v, sc.SparseVector) else v for v in values],
                 op,
                 label=label,
             )
             self._publish_hier_rounds()
             return result
-        vectors = self._check_sparse_buffers(values, "allreduce_comm")
-        n = vectors[0].n
-        union = sc.support_union_size(vectors)
-        density = union / n if n else 0.0
+        items, n = self._check_comm_buffers(values, "allreduce_comm")
+        nnz, union = sc.support_union_size(items, return_union=True)
+        density = nnz / n if n else 0.0
         resolved = sc.resolve_comm_mode(mode, union_density=density)
         if resolved == "sparse":
-            result = self.sparse_allreduce(vectors, op, label=label)
+            result = self.sparse_allreduce(items, op, label=label, union=union)
             self._publish_hier_rounds()
             return result
         # auto decided to densify: dense cost, decision still logged.
-        arrays = [v.to_dense() for v in vectors]
+        arrays = [sc.densify(v) for v in items]
         self._note_decision("dense")
         start = self._sync_start(label)
         arrays = self._apply_corruption(arrays, label)
@@ -720,7 +724,7 @@ class BSPCluster:
             start,
             cost,
             PhaseKind.COLLECTIVE,
-            detail=f"auto->dense nnz={union}/{n}",
+            detail=f"auto->dense nnz={nnz}/{n}",
         )
         self._publish_hier_rounds()
         return result
@@ -923,11 +927,10 @@ class BSPCluster:
         with the largest per-rank payload (the uniform-block formula's
         critical path), tagging the saving against the dense allgather.
         """
-        vectors = self._check_sparse_buffers(values, "sparse_allgather")
+        items, n = self._check_comm_buffers(values, "sparse_allgather")
         start = self._sync_start(label)
-        gathered = sc.sparse_allgather_values(vectors)
-        n = vectors[0].n
-        nnz_max = max(v.nnz for v in vectors)
+        gathered = sc.sparse_allgather_values(items)
+        nnz_max = max(v.nnz for v in gathered)
         cost = coll.sparse_allgather_cost(self.machine, self.nranks, float(n), float(nnz_max))
         dense = coll.allgather_cost(self.machine, self.nranks, float(n))
         self._finish_collective(

@@ -156,7 +156,7 @@ class RankContext:
 
         Under ``"sparse"``/``"auto"`` the contribution may be a
         :class:`~repro.distsim.sparse_collectives.SparseVector` or a dense
-        array (sparsified on entry); the engine — playing the network —
+        array (its nonzeros are its support); the engine — playing the network —
         measures the union density and, for ``"auto"``, picks the cheaper
         encoding. All ranks must pass the same *comm* value.
         """
@@ -870,16 +870,8 @@ class SPMDEngine:
                 self._note_decision("dense")
                 self._publish_hier_rounds()
             else:
-                vectors = [sc.as_sparse_vector(v) for v in values]
-                n = vectors[0].n
-                for i, v in enumerate(vectors):
-                    if v.n != n:
-                        raise CommunicatorError(
-                            f"sparse allreduce length mismatch: rank 0 has n={n}, "
-                            f"rank {i} has n={v.n}"
-                        )
-                reduced_sv = sc.sparse_allreduce_values(vectors, ops[0].op)
-                nnz = reduced_sv.nnz
+                reduced_sv = sc.sparse_allreduce_values(values, ops[0].op)
+                n, nnz = reduced_sv.n, reduced_sv.nnz
                 density = nnz / n if n else 0.0
                 resolved = sc.resolve_comm_mode(comm, union_density=density)
                 dense_cost = coll.allreduce_cost(

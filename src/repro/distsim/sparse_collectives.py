@@ -12,11 +12,13 @@ This module provides the *numerics* of that subsystem:
 
 * :class:`SparseVector` — an immutable COO vector (sorted unique ``int64``
   indices + ``float64`` values over a logical length ``n``).
-* :func:`sparse_allreduce_values` — union-of-supports reduction using the
-  same pairwise tournament order as the dense
-  :func:`~repro.distsim.collectives.allreduce_values`, so the two paths are
-  **bit-identical** on the same inputs, for every allreduce algorithm and
-  rank count.
+* :func:`support_union_size` — one boolean pass over the per-rank
+  supports measures the union a sparse allreduce ships.
+* :func:`sparse_allreduce_values` — gathers every contribution onto that
+  union and reduces the rows with the dense
+  :func:`~repro.distsim.collectives.allreduce_values` tournament, so the
+  two paths are **bit-identical** on the same inputs, for every allreduce
+  algorithm and rank count.
 
 The matching α-β-γ cost formulas live in
 :mod:`repro.distsim.collectives` (:func:`sparse_allreduce_cost` et al.);
@@ -32,11 +34,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import CommunicatorError, ValidationError
-from repro.distsim.collectives import SPARSE_SWITCH_DENSITY, resolve_reduce_op
+from repro.distsim import collectives as coll
+from repro.distsim.collectives import SPARSE_SWITCH_DENSITY
 
 __all__ = [
     "SparseVector",
     "as_sparse_vector",
+    "check_contributions",
+    "densify",
     "sparse_allreduce_values",
     "sparse_allgather_values",
     "support_union_size",
@@ -120,55 +125,100 @@ def as_sparse_vector(value: "SparseVector | np.ndarray") -> SparseVector:
     return SparseVector.from_dense(np.asarray(value, dtype=np.float64))
 
 
-def _combine_sparse(
-    a: SparseVector, b: SparseVector, combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> SparseVector:
-    """Reduce two sparse vectors over the union of their supports.
+def check_contributions(
+    vectors: Sequence["SparseVector | np.ndarray"], what: str = "sparse allreduce"
+) -> tuple[list["SparseVector | np.ndarray"], int]:
+    """Validate per-rank contributions without encoding them.
 
-    Missing entries participate as exact ``0.0``, so the floating-point
-    operations performed are identical to the dense elementwise reduction
-    at the union positions (and ``combine(0, 0) == 0`` elsewhere for
-    sum/max/min/prod) — the source of the bit-identity guarantee.
+    Dense inputs become 1-D ``float64`` arrays (no copy when they already
+    are); :class:`SparseVector` inputs pass through. Returns the list and
+    the common logical length ``n``.
     """
-    union = np.union1d(a.indices, b.indices)
-    av = np.zeros(union.size)
-    bv = np.zeros(union.size)
-    av[np.searchsorted(union, a.indices)] = a.values
-    bv[np.searchsorted(union, b.indices)] = b.values
-    return SparseVector(n=a.n, indices=union, values=combine(av, bv))
+    if len(vectors) == 0:
+        raise CommunicatorError(f"{what} over zero ranks")
+    items = [v if isinstance(v, SparseVector) else np.asarray(v, dtype=np.float64)
+             for v in vectors]
+    lengths = []
+    for v in items:
+        if not isinstance(v, SparseVector) and v.ndim != 1:
+            raise ValidationError(f"{what} expects 1-D buffers, got shape {v.shape}")
+        lengths.append(v.n if isinstance(v, SparseVector) else v.size)
+    for i, m in enumerate(lengths):
+        if m != lengths[0]:
+            raise CommunicatorError(
+                f"{what} length mismatch: rank 0 has n={lengths[0]}, rank {i} has n={m}"
+            )
+    return items, int(lengths[0])
+
+
+def _support_mask(items: Sequence["SparseVector | np.ndarray"], n: int) -> np.ndarray:
+    """One pass over the contributions: ``True`` wherever any rank ships a word.
+
+    A :class:`SparseVector` ships its stored entries (explicit zeros
+    included); a dense array ships its nonzeros (NaN counts as nonzero).
+    """
+    mask = np.zeros(n, dtype=bool)
+    nonzero = np.empty(n, dtype=bool)
+    for v in items:
+        if isinstance(v, SparseVector):
+            mask[v.indices] = True
+        else:
+            np.not_equal(v, 0.0, out=nonzero)
+            mask |= nonzero
+    return mask
+
+
+def _gather(v: "SparseVector | np.ndarray", union: np.ndarray) -> np.ndarray:
+    """One rank's contribution read at the union positions.
+
+    Positions outside the rank's support read as ``+0.0`` — a dense
+    ``-0.0`` is not shipped, so it is rewritten (by assignment, not by
+    adding ``0.0``, which would quiet a signalling NaN); stored values
+    (explicit ``-0.0`` and every NaN payload included) keep their exact bits.
+    """
+    if isinstance(v, SparseVector):
+        row = np.zeros(union.size)
+        row[np.searchsorted(union, v.indices)] = v.values
+        return row
+    row = np.take(v, union)
+    np.copyto(row, 0.0, where=row == 0.0)
+    return row
+
+
+def densify(v: "SparseVector | np.ndarray") -> np.ndarray:
+    """The dense buffer a contribution stands for: its support, ``+0.0`` elsewhere."""
+    if isinstance(v, SparseVector):
+        return v.to_dense()
+    out = np.array(v, dtype=np.float64)
+    np.copyto(out, 0.0, where=out == 0.0)
+    return out
 
 
 def sparse_allreduce_values(
     vectors: Sequence["SparseVector | np.ndarray"],
     op: Callable[[np.ndarray, np.ndarray], np.ndarray] | str = "sum",
+    *,
+    union: np.ndarray | None = None,
 ) -> SparseVector:
-    """Reduce per-rank sparse vectors with the dense tournament order.
+    """Reduce per-rank contributions over the union of their supports.
 
-    The result's support is the union of the input supports (entries whose
-    values cancel to zero stay stored, exactly as an MPI sparse allreduce
-    would keep shipping them). The pairwise order mirrors
-    :func:`~repro.distsim.collectives.allreduce_values`, making the dense
-    and sparse paths bit-identical and algorithm-independent.
+    Each contribution (dense or :class:`SparseVector`) is gathered onto the
+    sorted support union ``U`` — missing entries as exact ``+0.0`` — and the
+    ``|U|``-long rows go through the dense
+    :func:`~repro.distsim.collectives.allreduce_values` tournament: the
+    same pairwise order and the same ``combine(x, 0.0)`` at every position
+    as the dense reduction of the densified inputs, so the two paths are
+    bit-identical (``combine(0, 0) == +0.0`` for sum/max/min/prod).
+
+    The result's support is ``U``; entries that cancel to zero stay stored,
+    as an MPI sparse allreduce would keep shipping them. Pass *union* when
+    :func:`support_union_size` has already measured it.
     """
-    if len(vectors) == 0:
-        raise CommunicatorError("sparse allreduce over zero ranks")
-    svs = [as_sparse_vector(v) for v in vectors]
-    n = svs[0].n
-    for i, sv in enumerate(svs):
-        if sv.n != n:
-            raise CommunicatorError(
-                f"sparse allreduce length mismatch: rank 0 has n={n}, rank {i} has n={sv.n}"
-            )
-    combine = resolve_reduce_op(op)
-    level = list(svs)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(_combine_sparse(level[i], level[i + 1], combine))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    items, n = check_contributions(vectors)
+    if union is None:
+        union = np.flatnonzero(_support_mask(items, n))
+    reduced = coll.allreduce_values([_gather(v, union) for v in items], op)
+    return SparseVector(n=n, indices=union, values=reduced)
 
 
 def sparse_allgather_values(
@@ -188,16 +238,9 @@ def sparse_allgather_values(
     it never rewrites it), so ``sparse_allgather_values(vs)[i].to_dense()``
     equals the dense allgather of ``[v.to_dense() for v in vs]`` exactly.
     """
-    p = len(vectors)
-    if p == 0:
-        raise CommunicatorError("sparse allgather over zero ranks")
-    svs = [as_sparse_vector(v) for v in vectors]
-    n = svs[0].n
-    for i, sv in enumerate(svs):
-        if sv.n != n:
-            raise CommunicatorError(
-                f"sparse allgather length mismatch: rank 0 has n={n}, rank {i} has n={sv.n}"
-            )
+    items, _ = check_contributions(vectors, "sparse allgather")
+    svs = [as_sparse_vector(v) for v in items]
+    p = len(svs)
     # holdings[i] maps source rank -> contribution; doubles every round.
     holdings: list[dict[int, SparseVector]] = [{i: svs[i]} for i in range(p)]
     stride = 1
@@ -213,14 +256,19 @@ def sparse_allgather_values(
     return result
 
 
-def support_union_size(vectors: Sequence["SparseVector | np.ndarray"]) -> int:
-    """Number of entries in the union of the per-rank supports."""
-    if len(vectors) == 0:
-        raise CommunicatorError("support union over zero ranks")
-    union: np.ndarray | None = None
-    for v in vectors:
-        idx = as_sparse_vector(v).indices
-        union = idx if union is None else np.union1d(union, idx)
+def support_union_size(
+    vectors: Sequence["SparseVector | np.ndarray"], *, return_union: bool = False
+) -> "int | tuple[int, np.ndarray]":
+    """Number of entries in the union of the per-rank supports.
+
+    One boolean pass over the contributions; with ``return_union`` the
+    sorted union indices come back too, ready for
+    :func:`sparse_allreduce_values`.
+    """
+    items, n = check_contributions(vectors, "support union")
+    union = np.flatnonzero(_support_mask(items, n))
+    if return_union:
+        return int(union.size), union
     return int(union.size)
 
 

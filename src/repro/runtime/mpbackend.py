@@ -949,18 +949,14 @@ class MultiprocessingBackend:
             self._ledger.charge_allreduce(float(n), label=label)
         else:
             # The sparse/auto charge needs the union support size — the
-            # same quantity BSP reads off its SparseVector union. Counted
-            # on the 1-D host views before the workers densify anything.
+            # same support_union_size BSP measures. Counted on the 1-D
+            # host views before the workers densify anything.
             if len(shape) != 1:
                 raise CommunicatorError(
                     f"sparse-encoded allreduce needs 1-D buffers, got shape {shape}"
                 )
-            union = np.zeros(n, dtype=bool)
-            for rank in range(self.nranks):
-                union |= self._views[rank][:n] != 0.0
-            self._ledger.charge_allreduce_comm(
-                n, int(np.count_nonzero(union)), mode=self.comm, label=label
-            )
+            nnz = sc.support_union_size([self._views[rank][:n] for rank in range(self.nranks)])
+            self._ledger.charge_allreduce_comm(n, nnz, mode=self.comm, label=label)
         self._run_tournament(n)
         return self._result(n, shape)
 
