@@ -22,6 +22,7 @@ from repro.core import rc_sfista_distributed, solve_reference
 from repro.core.objectives import L1LeastSquares
 from repro.core.stopping import StoppingCriterion
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 D = 128  # signal dimension
 SPARSITY = 8  # non-zeros in the true signal
@@ -62,9 +63,10 @@ def main() -> None:
     problem, signal = make_instance(96, seed=0)
     fstar = solve_reference(problem, tol=1e-9).meta["fstar"]
     res = rc_sfista_distributed(
-        problem, nranks=16, machine="comet_effective", k=4, S=1, b=0.25,
+        problem, nranks=16, k=4, S=1, b=0.25,
         epochs=30, iters_per_epoch=60,
         stopping=StoppingCriterion(tol=1e-4, fstar=fstar), seed=0,
+        runtime=RuntimeConfig(machine="comet_effective"),
     )
     err = np.linalg.norm(res.w - signal) / np.linalg.norm(signal)
     print(f"\ndistributed RC-SFISTA recovery: {res.summary()}")

@@ -17,6 +17,7 @@ from repro.data import get_dataset
 from repro.perf.bounds import k_bound_latency_bandwidth
 from repro.perf.model import rc_sfista_costs, sfista_costs
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 MACHINE = "comet_effective"
 
@@ -32,16 +33,17 @@ def main() -> None:
     print(f"Eq. (25) bound for d={problem.d} on {MACHINE}: "
           f"k <= {k_bound_latency_bandwidth(MACHINE, problem.d):.1f}\n")
 
+    runtime = RuntimeConfig(machine=MACHINE)
     rows = []
     for P in (4, 16, 64):
         base = sfista_distributed(
-            problem, P, machine=MACHINE, b=b, iters_per_epoch=N, seed=0,
-            monitor_every=N, stopping=stop,
+            problem, P, b=b, iters_per_epoch=N, seed=0,
+            monitor_every=N, stopping=stop, runtime=runtime,
         )
         for k in (1, 2, 4, 8):
             rc = rc_sfista_distributed(
-                problem, P, machine=MACHINE, k=k, b=b, iters_per_epoch=N, seed=0,
-                monitor_every=N, stopping=stop,
+                problem, P, k=k, b=b, iters_per_epoch=N, seed=0,
+                monitor_every=N, stopping=stop, runtime=runtime,
             )
             model = rc_sfista_costs(N, problem.d, rc.meta["mbar"], 0.22, P, k, 1)
             rows.append(

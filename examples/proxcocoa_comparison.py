@@ -13,6 +13,7 @@ from repro.core.stopping import StoppingCriterion
 from repro.data import get_dataset
 from repro.experiments.ascii_plot import ascii_chart
 from repro.perf.report import format_table
+from repro.runtime import RuntimeConfig
 
 MACHINE = "comet_effective"
 P = 32
@@ -26,8 +27,9 @@ def main() -> None:
     stop = StoppingCriterion(tol=TOL, fstar=fstar)
 
     rc = rc_sfista_distributed(
-        problem, P, machine=MACHINE, k=2, S=2, b=0.05,
+        problem, P, k=2, S=2, b=0.05,
         epochs=20, iters_per_epoch=50, seed=0, stopping=stop,
+        runtime=RuntimeConfig(machine=MACHINE),
     )
     cc = proxcocoa(
         problem, P, machine=MACHINE, n_rounds=300, local_epochs=2, seed=0,

@@ -48,13 +48,8 @@ from repro.core.objectives import QuadraticModel
 from repro.core.proximal import L1Prox, soft_threshold
 from repro.core.results import History, SolveResult
 from repro.core.stopping import StoppingCriterion
-from repro.distsim.bsp import BSPCluster
-from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.distsim.machine import MachineSpec
 from repro.exceptions import ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryCallback
-from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend, resolve_runtime
+from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend
 from repro.sparse.ops import GramWorkspace, sampled_gram
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
 from repro.utils.validation import check_in_range, check_positive
@@ -199,7 +194,6 @@ def proximal_newton_distributed(
     problem: ERMObjective,
     nranks: int,
     *,
-    machine: str | MachineSpec = "comet_effective",
     inner: str = "rc_sfista",
     n_outer: int = 5,
     inner_iters: int = 40,
@@ -211,17 +205,6 @@ def proximal_newton_distributed(
     seed: RandomState = 0,
     stopping: StoppingCriterion | None = None,
     monitor_every: int = 1,
-    allreduce_algorithm: str = "recursive_doubling",
-    comm: str = "dense",
-    cluster: BSPCluster | None = None,
-    faults: FaultPlan | FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    recv_timeout: float | None = None,
-    checkpoint_every: int = 0,
-    on_nan: str | None = None,
-    max_recoveries: int = 3,
-    telemetry: TelemetryCallback | None = None,
-    metrics: MetricsRegistry | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
     """Distributed PN (Fig. 7 experiment) — see module docstring.
@@ -231,10 +214,11 @@ def proximal_newton_distributed(
     the communication pattern. ``step_size`` is the inner γ (defaults to
     the problem's 1/L, shared by all variants for comparability).
 
-    ``comm`` selects the collective encoding for every allreduce (gradient,
-    Hessian-vector and sampled-block phases): ``"dense"``, ``"sparse"``
-    (index+value, O(nnz_union) words) or ``"auto"`` (per-phase
-    stream-and-switch on measured density, logged into the trace).
+    ``RuntimeConfig(comm=...)`` selects the collective encoding for every
+    allreduce (gradient, Hessian-vector and sampled-block phases):
+    ``"dense"``, ``"sparse"`` (index+value, O(nnz_union) words) or
+    ``"auto"`` (per-phase stream-and-switch on measured density, logged
+    into the trace).
 
     Runtime
     -------
@@ -243,29 +227,13 @@ def proximal_newton_distributed(
         knobs (machine/comm, faults, retry, recv_timeout, checkpointing
         every ``checkpoint_every`` *outer* iterations with bit-exact
         rollback replay, ``on_nan`` screening of every collective result
-        and monitored objective, telemetry, metrics). The individual
-        kwargs remain accepted but cannot be combined with ``runtime=``;
-        the resilience/observability ones are deprecated as kwargs.
-        ``telemetry`` receives one record per inner iteration
+        and monitored objective, telemetry, metrics); ``None`` uses the
+        defaults. ``telemetry`` receives one record per inner iteration
         (``objective=None``, ``phase="inner"``) plus one per monitored
         outer boundary (``phase="outer"``); both observers are strictly
         out of band.
     """
-    config = resolve_runtime(
-        runtime,
-        machine=machine,
-        allreduce_algorithm=allreduce_algorithm,
-        comm=comm,
-        cluster=cluster,
-        faults=faults,
-        retry=retry,
-        recv_timeout=recv_timeout,
-        checkpoint_every=checkpoint_every,
-        on_nan=on_nan,
-        max_recoveries=max_recoveries,
-        telemetry=telemetry,
-        metrics=metrics,
-    )
+    config = runtime if runtime is not None else RuntimeConfig()
     if inner not in ("fista", "sfista", "rc_sfista"):
         raise ValidationError(f"inner must be fista|sfista|rc_sfista, got {inner!r}")
     if inner != "rc_sfista" and (k != 1 or S != 1):
@@ -305,7 +273,7 @@ def proximal_newton_distributed(
     # general path builds curvature-weighted blocks without workspaces.
     workspaces = (
         RankWorkspaces(nranks, d, mbar, parallel=backend.parallel_ranks)
-        if config.gram_workspace and not general
+        if not general
         else None
     )
     loop.workspace = workspaces

@@ -20,9 +20,8 @@ happens), which the integration tests assert.
 Unified runtime
 ---------------
 Execution-substrate, resilience and observability concerns live in
-:mod:`repro.runtime`: bundle them in ``runtime=RuntimeConfig(...)`` (the
-individual kwargs remain accepted; the resilience/observability ones are
-deprecated). The solver body here is purely algorithmic — an
+:mod:`repro.runtime`: bundle them in ``runtime=RuntimeConfig(...)``. The
+solver body here is purely algorithmic — an
 :class:`~repro.runtime.backend.ExecutionBackend` supplies the collectives
 (serial or BSP-simulated) and a
 :class:`~repro.runtime.driver.ResilientLoop` supplies checkpointing,
@@ -45,13 +44,8 @@ from repro.core.results import History, SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.sfista_dist import _epoch_anchor_gradient
 from repro.core.stopping import StoppingCriterion
-from repro.distsim.bsp import BSPCluster
-from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.distsim.machine import MachineSpec
 from repro.exceptions import ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryCallback
-from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend, resolve_runtime
+from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
 from repro.utils.validation import check_positive
 
@@ -62,7 +56,6 @@ def rc_sfista_distributed(
     problem: ERMObjective,
     nranks: int,
     *,
-    machine: str | MachineSpec = "comet_effective",
     k: int = 1,
     S: int = 1,
     b: float = 0.1,
@@ -74,65 +67,34 @@ def rc_sfista_distributed(
     stopping: StoppingCriterion | None = None,
     monitor_every: int = 1,
     restart_momentum: bool = True,
-    allreduce_algorithm: str = "recursive_doubling",
-    comm: str = "dense",
-    jitter_seed: RandomState = None,
-    cluster: BSPCluster | None = None,
-    faults: FaultPlan | FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    recv_timeout: float | None = None,
-    checkpoint_every: int = 0,
-    on_nan: str | None = None,
-    max_recoveries: int = 3,
-    adaptive_restart: bool = False,
-    telemetry: TelemetryCallback | None = None,
-    metrics: MetricsRegistry | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
     """Distributed RC-SFISTA (Alg. 5 on the cluster of Fig. 1).
 
     See :func:`repro.core.rc_sfista.rc_sfista` for the algorithmic
     parameters ``k``, ``S``, ``b``; see
-    :func:`repro.core.sfista_dist.sfista_distributed` for the cluster
+    :func:`repro.core.sfista_dist.sfista_distributed` for the shared
     parameters. ``history`` carries simulated times; ``cost`` the cluster
     counters.
 
-    ``comm`` selects the collective encoding: ``"dense"`` ships full
-    buffers, ``"sparse"`` ships index+value pairs charged at O(nnz_union)
-    words, ``"auto"`` measures the union density per phase and picks the
-    cheaper encoding (the decision is logged into the cluster trace).
-    Iterates are bit-identical across the three modes.
+    ``RuntimeConfig(comm=...)`` selects the collective encoding:
+    ``"dense"`` ships full buffers, ``"sparse"`` ships index+value pairs
+    charged at O(nnz_union) words, ``"auto"`` measures the union density
+    per phase and picks the cheaper encoding (the decision is logged into
+    the cluster trace). Iterates are bit-identical across the three modes.
 
     Runtime
     -------
     runtime:
         A :class:`~repro.runtime.RuntimeConfig` bundling the execution
-        knobs below (machine/comm selection, faults, retry, recv_timeout,
+        knobs (machine/comm selection, faults, retry, recv_timeout,
         checkpointing, on_nan, max_recoveries, adaptive_restart,
-        telemetry, metrics — see that class for per-field docs). The
-        individual kwargs remain accepted for compatibility but cannot be
-        combined with ``runtime=``; passing the resilience/observability
-        ones individually is deprecated. ``RuntimeConfig(backend="serial")``
-        runs the same body on the zero-cost single-rank backend.
+        telemetry, metrics — see that class for per-field docs); ``None``
+        uses the defaults. ``RuntimeConfig(backend="serial")`` runs the
+        same body on the zero-cost single-rank backend.
     """
     estimator = GradientEstimator(estimator)
-    config = resolve_runtime(
-        runtime,
-        machine=machine,
-        allreduce_algorithm=allreduce_algorithm,
-        comm=comm,
-        jitter_seed=jitter_seed,
-        cluster=cluster,
-        faults=faults,
-        retry=retry,
-        recv_timeout=recv_timeout,
-        checkpoint_every=checkpoint_every,
-        on_nan=on_nan,
-        max_recoveries=max_recoveries,
-        adaptive_restart=adaptive_restart,
-        telemetry=telemetry,
-        metrics=metrics,
-    )
+    config = runtime if runtime is not None else RuntimeConfig()
     if k < 1 or S < 1:
         raise ValidationError(f"k and S must be >= 1, got k={k}, S={S}")
     if estimator is GradientEstimator.EXACT:
@@ -180,7 +142,7 @@ def rc_sfista_distributed(
     # workspace variant.
     workspaces = (
         RankWorkspaces(nranks, d, mbar, parallel=backend.parallel_ranks)
-        if config.gram_workspace and not general
+        if not general
         else None
     )
     loop.workspace = workspaces

@@ -35,17 +35,12 @@ from repro.core.fista import momentum_mu, t_next
 from repro.core.model import ERMObjective, resolve_objective
 from repro.core.results import SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
-from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.distsim.machine import MachineSpec
 from repro.exceptions import NumericalFaultError, ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryCallback
 from repro.runtime import (
     ResilientLoop,
     RollbackRequested,
     RuntimeConfig,
     SPMDBackend,
-    resolve_runtime,
 )
 from repro.sparse.ops import GramWorkspace
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
@@ -58,30 +53,20 @@ def rc_sfista_spmd(
     problem: ERMObjective,
     nranks: int,
     *,
-    machine: str | MachineSpec = "comet_effective",
     k: int = 1,
     b: float = 0.1,
     step_size: float | None = None,
     n_iterations: int = 100,
     estimator: GradientEstimator | str = GradientEstimator.PLAIN,
     seed: RandomState = 0,
-    allreduce_algorithm: str = "recursive_doubling",
-    comm: str = "dense",
-    faults: FaultPlan | FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    recv_timeout: float | None = None,
-    checkpoint_every: int = 0,
-    on_nan: str | None = None,
-    max_recoveries: int = 3,
-    adaptive_restart: bool = False,
-    telemetry: TelemetryCallback | None = None,
-    metrics: MetricsRegistry | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
     """Run RC-SFISTA (k-overlap, S=1, single epoch) on the SPMD engine.
 
-    ``comm`` selects the stage-C allreduce encoding (``"dense"``,
-    ``"sparse"``, ``"auto"``); iterates are bit-identical across modes.
+    Every runtime knob is a field of ``runtime=RuntimeConfig(...)``
+    (``None`` uses the defaults). ``comm`` selects the stage-C allreduce
+    encoding (``"dense"``, ``"sparse"``, ``"auto"``); iterates are
+    bit-identical across modes.
 
     Resilience: ``faults``/``retry``/``recv_timeout`` configure the
     engine's fault layer. With ``checkpoint_every > 0`` the rank programs
@@ -103,28 +88,9 @@ def rc_sfista_spmd(
     also enables the engine trace so the recorder can harvest a timeline.
     ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` the engine
     publishes into. Both are strictly out of band.
-
-    All the runtime knobs can equivalently be bundled in
-    ``runtime=RuntimeConfig(...)``; mixing ``runtime=`` with explicit
-    kwargs is rejected, and the resilience/observability kwargs are
-    deprecated in favour of the bundle.
     """
     estimator = GradientEstimator(estimator)
-    config = resolve_runtime(
-        runtime,
-        machine=machine,
-        allreduce_algorithm=allreduce_algorithm,
-        comm=comm,
-        faults=faults,
-        retry=retry,
-        recv_timeout=recv_timeout,
-        checkpoint_every=checkpoint_every,
-        on_nan=on_nan,
-        max_recoveries=max_recoveries,
-        adaptive_restart=adaptive_restart,
-        telemetry=telemetry,
-        metrics=metrics,
-    )
+    config = runtime if runtime is not None else RuntimeConfig()
     if estimator is GradientEstimator.EXACT:
         raise ValidationError("SPMD RC-SFISTA requires a sampled estimator")
     if config.backend in ("mp", "threads"):
@@ -227,9 +193,7 @@ def rc_sfista_spmd(
         rng = as_generator(int(seed))
         # Per-rank scratch: each rank's packed payload must stay intact
         # until the collective completes, so buffers are program-local.
-        workspace = (
-            GramWorkspace(d, mbar) if config.gram_workspace and not general else None
-        )
+        workspace = GramWorkspace(d, mbar) if not general else None
         packed_buf = np.empty(k * stride) if workspace is not None else None
         if workspace is not None and ctx.rank == 0:
             loop.workspace = workspace

@@ -14,9 +14,9 @@ Two communication modes:
   compatible with Hessian-reuse, but shows the design space.
 
 Like every distributed solver the baseline runs on the unified
-:mod:`repro.runtime`: pass ``runtime=RuntimeConfig(...)`` (or the legacy
-individual kwargs) to get fault injection, checkpoint/rollback recovery,
-NaN screening, telemetry and metrics — the same resilience surface as
+:mod:`repro.runtime`: pass ``runtime=RuntimeConfig(...)`` to get fault
+injection, checkpoint/rollback recovery, NaN screening, telemetry and
+metrics — the same resilience surface as
 :func:`repro.core.rc_sfista_dist.rc_sfista_distributed`, so the paper
 comparison stays apples-to-apples under failures too.
 """
@@ -37,13 +37,8 @@ from repro.core.proximal import soft_threshold
 from repro.core.results import History, SolveResult
 from repro.core.sfista import GradientEstimator, stochastic_step_size
 from repro.core.stopping import StoppingCriterion
-from repro.distsim.bsp import BSPCluster
-from repro.distsim.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.distsim.machine import MachineSpec
 from repro.exceptions import ValidationError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryCallback
-from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend, resolve_runtime
+from repro.runtime import Checkpoint, ResilientLoop, RuntimeConfig, build_host_backend
 from repro.runtime.backend import ExecutionBackend
 from repro.sparse.ops import _select_columns_dense
 from repro.utils.rng import RandomState, as_generator, minibatch_size, sample_indices
@@ -79,7 +74,6 @@ def sfista_distributed(
     problem: ERMObjective,
     nranks: int,
     *,
-    machine: str | MachineSpec = "comet_effective",
     b: float = 0.1,
     step_size: float | None = None,
     epochs: int = 1,
@@ -90,18 +84,6 @@ def sfista_distributed(
     stopping: StoppingCriterion | None = None,
     monitor_every: int = 1,
     restart_momentum: bool = True,
-    allreduce_algorithm: str = "recursive_doubling",
-    jitter_seed: RandomState = None,
-    cluster: BSPCluster | None = None,
-    faults: FaultPlan | FaultInjector | None = None,
-    retry: RetryPolicy | None = None,
-    recv_timeout: float | None = None,
-    checkpoint_every: int = 0,
-    on_nan: str | None = None,
-    max_recoveries: int = 3,
-    adaptive_restart: bool = False,
-    telemetry: TelemetryCallback | None = None,
-    metrics: MetricsRegistry | None = None,
     runtime: RuntimeConfig | None = None,
 ) -> SolveResult:
     """Distributed SFISTA on the simulated cluster.
@@ -121,27 +103,11 @@ def sfista_distributed(
         A :class:`~repro.runtime.RuntimeConfig` bundling machine/comm
         selection, fault injection, retry, checkpointing (every
         ``checkpoint_every`` communication rounds), ``on_nan`` screening,
-        ``adaptive_restart``, telemetry and metrics. The individual
-        kwargs remain accepted but cannot be combined with ``runtime=``;
-        the resilience/observability ones are deprecated as kwargs.
+        ``adaptive_restart``, telemetry and metrics; ``None`` uses the
+        defaults.
     """
     estimator = GradientEstimator(estimator)
-    config = resolve_runtime(
-        runtime,
-        machine=machine,
-        allreduce_algorithm=allreduce_algorithm,
-        jitter_seed=jitter_seed,
-        cluster=cluster,
-        faults=faults,
-        retry=retry,
-        recv_timeout=recv_timeout,
-        checkpoint_every=checkpoint_every,
-        on_nan=on_nan,
-        max_recoveries=max_recoveries,
-        adaptive_restart=adaptive_restart,
-        telemetry=telemetry,
-        metrics=metrics,
-    )
+    config = runtime if runtime is not None else RuntimeConfig()
     if comm_mode not in ("hessian", "gradient"):
         raise ValidationError(f"comm_mode must be 'hessian' or 'gradient', got {comm_mode!r}")
     if estimator is GradientEstimator.EXACT:
@@ -185,7 +151,7 @@ def sfista_distributed(
     # curvature-weighted blocks and has no workspace variant.
     workspaces = (
         RankWorkspaces(nranks, d, mbar, parallel=backend.parallel_ranks)
-        if config.gram_workspace and not general
+        if not general
         else None
     )
     loop.workspace = workspaces

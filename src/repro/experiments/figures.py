@@ -29,6 +29,7 @@ from repro.data.datasets import DATASETS, dataset_table, get_dataset
 from repro.distsim.collectives import ceil_log2
 from repro.perf.bounds import k_bound_latency_bandwidth
 from repro.perf.model import rc_sfista_costs, sfista_costs
+from repro.runtime import RuntimeConfig
 from repro.experiments.runner import (
     ProblemStats,
     dry_run_pn_inner,
@@ -446,13 +447,14 @@ def table1_costs(
     f = stats.density
     d = problem.d
 
+    runtime = RuntimeConfig(machine=machine)
     sf = sfista_distributed(
-        problem, nranks, machine=machine, b=b, iters_per_epoch=n_iters,
-        estimator="plain", seed=seed, monitor_every=n_iters,
+        problem, nranks, b=b, iters_per_epoch=n_iters,
+        estimator="plain", seed=seed, monitor_every=n_iters, runtime=runtime,
     )
     rc = rc_sfista_distributed(
-        problem, nranks, machine=machine, k=k, S=S, b=b, iters_per_epoch=n_iters,
-        estimator="plain", seed=seed, monitor_every=n_iters,
+        problem, nranks, k=k, S=S, b=b, iters_per_epoch=n_iters,
+        estimator="plain", seed=seed, monitor_every=n_iters, runtime=runtime,
     )
     model_sf = sfista_costs(n_iters, d, mbar, f, nranks)
     model_rc = rc_sfista_costs(n_iters, d, mbar, f, nranks, k, S)

@@ -1,8 +1,9 @@
 """Solver telemetry: per-iteration records and machine-readable run reports.
 
 The distributed solvers (``rc_sfista_distributed``, ``rc_sfista_spmd``,
-``proximal_newton_distributed``) accept a ``telemetry=`` callback
-implementing the :class:`TelemetryCallback` protocol. The callback is
+``proximal_newton_distributed``) accept a
+``runtime=RuntimeConfig(telemetry=...)`` callback implementing the
+:class:`TelemetryCallback` protocol. The callback is
 strictly *out of band*: it observes the run (one :class:`IterationRecord`
 per inner iteration, plus run start/end) and never touches the simulated
 cost model, so attaching or detaching it leaves iterates, counters and
@@ -71,7 +72,7 @@ class IterationRecord:
 
 @runtime_checkable
 class TelemetryCallback(Protocol):
-    """What a solver expects from its ``telemetry=`` argument."""
+    """What a solver expects from ``RuntimeConfig(telemetry=...)``."""
 
     def on_run_start(self, solver: str, params: dict[str, Any]) -> None: ...
 

@@ -13,17 +13,13 @@ is accepted by every distributed solver as ``runtime=``::
                         checkpoint_every=2, on_nan="rollback")
     rc_sfista_distributed(problem, 16, k=4, runtime=cfg)
 
-The individual keyword arguments remain accepted for backward
-compatibility; passing the resilience/observability ones triggers a
-:class:`DeprecationWarning` steering callers to ``runtime=``. Passing
-``runtime=`` *and* explicit legacy values together is rejected — there
-must be exactly one source of truth.
+``runtime=`` is the only way to set these knobs: the solvers take no
+per-knob keyword arguments, so there is exactly one source of truth.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,7 +42,6 @@ __all__ = [
     "FAILURE_POLICIES",
     "RuntimeConfig",
     "parse_backend_spec",
-    "resolve_runtime",
 ]
 
 # Host-driven execution substrates build_host_backend can produce. The SPMD
@@ -63,20 +58,6 @@ BACKENDS = ("bsp", "serial", "mp", "threads")
 # (bit-identical final iterate), "shrink" drops the dead rank, repartitions
 # the columns over the survivors and resumes from the checkpoint at P′ < P.
 FAILURE_POLICIES = ("fail_fast", "respawn", "shrink")
-
-
-def _knob(default, surface: str):
-    """A config field tagged with the surface it belongs to.
-
-    The tag is load-bearing: ``_DEPRECATED_KWARGS`` (the legacy kwargs
-    that warrant a deprecation nudge) is *derived* from the
-    ``resilience``/``observability`` tags below, and the kwargs-drift
-    guard test regenerates its expectations from the same metadata — a
-    new field cannot silently land in the wrong surface.
-    """
-    if surface not in ("shape", "resilience", "observability", "perf"):
-        raise ValueError(f"unknown config surface {surface!r}")
-    return dataclasses.field(default=default, metadata={"surface": surface})
 
 
 @dataclass(frozen=True)
@@ -182,35 +163,30 @@ class RuntimeConfig:
         bit-identical either way — only host wall-clock changes.
         Mutually exclusive with a prebuilt ``cluster`` (configure
         ``dedup=`` on the cluster instead).
-    gram_workspace:
-        Reuse preallocated :class:`~repro.sparse.ops.GramWorkspace`
-        buffers in solver inner loops instead of allocating per
-        iteration. Bit-identical results; on by default.
     """
 
-    backend: str = _knob("bsp", "shape")
-    machine: str | MachineSpec = _knob("comet_effective", "shape")
-    allreduce_algorithm: str = _knob("recursive_doubling", "shape")
-    loss: object = _knob(None, "shape")
-    penalty: object = _knob(None, "shape")
-    comm: str = _knob("dense", "shape")
-    comm_topology: str = _knob("flat", "shape")
-    comm_compress: str = _knob("none", "shape")
-    jitter_seed: RandomState = _knob(None, "shape")
-    cluster: "BSPCluster | None" = _knob(None, "shape")
-    mp_timeout: float = _knob(120.0, "shape")
-    mp_failure_policy: str = _knob("fail_fast", "resilience")
-    faults: FaultPlan | FaultInjector | None = _knob(None, "resilience")
-    retry: RetryPolicy | None = _knob(None, "resilience")
-    recv_timeout: float | None = _knob(None, "resilience")
-    checkpoint_every: int = _knob(0, "resilience")
-    on_nan: str | None = _knob(None, "resilience")
-    max_recoveries: int = _knob(3, "resilience")
-    adaptive_restart: bool = _knob(False, "resilience")
-    telemetry: TelemetryCallback | None = _knob(None, "observability")
-    metrics: MetricsRegistry | None = _knob(None, "observability")
-    dedup: bool | None = _knob(None, "perf")
-    gram_workspace: bool = _knob(True, "perf")
+    backend: str = "bsp"
+    machine: str | MachineSpec = "comet_effective"
+    allreduce_algorithm: str = "recursive_doubling"
+    loss: object = None
+    penalty: object = None
+    comm: str = "dense"
+    comm_topology: str = "flat"
+    comm_compress: str = "none"
+    jitter_seed: RandomState = None
+    cluster: "BSPCluster | None" = None
+    mp_timeout: float = 120.0
+    mp_failure_policy: str = "fail_fast"
+    faults: FaultPlan | FaultInjector | None = None
+    retry: RetryPolicy | None = None
+    recv_timeout: float | None = None
+    checkpoint_every: int = 0
+    on_nan: str | None = None
+    max_recoveries: int = 3
+    adaptive_restart: bool = False
+    telemetry: TelemetryCallback | None = None
+    metrics: MetricsRegistry | None = None
+    dedup: bool | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -338,19 +314,6 @@ class RuntimeConfig:
         return dataclasses.replace(self, **changes)
 
 
-_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RuntimeConfig)}
-
-# Legacy kwargs that warrant a deprecation nudge — derived from the field
-# surface tags, never hand-listed: exactly the resilience and observability
-# knobs. The simulation-shape and host-perf knobs stay warning-free — they
-# are equally valid through either path.
-_DEPRECATED_KWARGS = frozenset(
-    f.name
-    for f in dataclasses.fields(RuntimeConfig)
-    if f.metadata.get("surface") in ("resilience", "observability")
-)
-
-
 def parse_backend_spec(spec: str) -> tuple[str, int | None]:
     """Split a CLI backend spec ``"name"`` or ``"name:P"`` into its parts.
 
@@ -378,42 +341,3 @@ def parse_backend_spec(spec: str) -> tuple[str, int | None]:
         )
     return name, nranks
 
-
-def resolve_runtime(
-    runtime: RuntimeConfig | None = None, **legacy
-) -> RuntimeConfig:
-    """Merge a ``runtime=`` config with per-solver legacy kwargs.
-
-    Solvers call this with whatever subset of the legacy runtime kwargs
-    their public signature still carries. Exactly one source wins:
-
-    * ``runtime`` given and no legacy kwarg moved off its default — use
-      the config as-is.
-    * ``runtime`` given *and* legacy kwargs set — ambiguous, rejected.
-    * legacy kwargs only — build a :class:`RuntimeConfig` from them
-      (single validation path), warning once per call when any of the
-      deprecated resilience/observability kwargs were used.
-    """
-    unknown = set(legacy) - set(_FIELD_DEFAULTS)
-    if unknown:
-        raise ValidationError(
-            f"unknown runtime kwargs {sorted(unknown)}; valid fields are "
-            f"{sorted(_FIELD_DEFAULTS)}"
-        )
-    moved = {k for k, v in legacy.items() if v != _FIELD_DEFAULTS[k]}
-    if runtime is not None:
-        if moved:
-            raise ValidationError(
-                "pass runtime knobs either through runtime=RuntimeConfig(...) or "
-                f"as individual kwargs, not both (runtime= plus {sorted(moved)})"
-            )
-        return runtime
-    deprecated = sorted(moved & _DEPRECATED_KWARGS)
-    if deprecated:
-        warnings.warn(
-            f"passing {', '.join(deprecated)} as individual solver kwargs is "
-            "deprecated; bundle them in runtime=RuntimeConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return RuntimeConfig(**legacy)

@@ -14,9 +14,6 @@ failures in-band:
 * :class:`RecoveryStats` — counts of checkpoints, rollbacks, recomputes
   and momentum restarts, reported in ``SolveResult.meta["resilience"]``.
 
-(Until the :mod:`repro.runtime` package existed these lived in
-``repro.core.resilience``; that module remains as a re-export shim.)
-
 Checkpoint and recovery *traffic* is charged by the substrate
 (:meth:`repro.distsim.bsp.BSPCluster.checkpoint` /
 :meth:`~repro.distsim.bsp.BSPCluster.recover`), tagged into the

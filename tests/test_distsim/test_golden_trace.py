@@ -25,6 +25,7 @@ from repro.core.rc_sfista_dist import rc_sfista_distributed
 from repro.data.synthetic import make_regression
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.trace import Trace
+from repro.runtime import RuntimeConfig
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 FIXTURE = GOLDEN_DIR / "rc_sfista_p4_trace.json"
@@ -57,8 +58,7 @@ def _run(comm: str) -> dict:
         estimator="plain",
         seed=0,
         monitor_every=4,
-        comm=comm,
-        cluster=cluster,
+        runtime=RuntimeConfig(comm=comm, cluster=cluster),
     )
     per_phase: dict[str, dict[str, float]] = {}
     for e in cluster.trace.events:
@@ -118,8 +118,7 @@ def _run_prox_newton(comm: str) -> dict:
         S=2,
         b=0.1,
         seed=0,
-        comm=comm,
-        cluster=cluster,
+        runtime=RuntimeConfig(comm=comm, cluster=cluster),
     )
     return _harvest(cluster, res)
 
@@ -139,7 +138,7 @@ def _run_sfista(comm_mode: str) -> dict:
         comm_mode=comm_mode,
         seed=0,
         monitor_every=3,
-        cluster=cluster,
+        runtime=RuntimeConfig(cluster=cluster),
     )
     return _harvest(cluster, res)
 
@@ -212,7 +211,8 @@ def test_zero_fault_injector_is_identity():
         )
         res = rc_sfista_distributed(
             _problem(), NRANKS, k=2, S=2, b=0.1, epochs=1, iters_per_epoch=8,
-            estimator="plain", seed=0, monitor_every=4, comm=comm, cluster=cluster,
+            estimator="plain", seed=0, monitor_every=4,
+            runtime=RuntimeConfig(comm=comm, cluster=cluster),
         )
         return _canonical({"cost_summary": res.cost, "w": res.w.tolist()})
 

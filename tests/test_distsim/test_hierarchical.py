@@ -92,8 +92,10 @@ class TestBspIntegration:
 
     def test_solver_runs_end_to_end(self, tiny_covtype_problem):
         from repro.core.rc_sfista_dist import rc_sfista_distributed
+        from repro.runtime import RuntimeConfig
 
         res = rc_sfista_distributed(
-            tiny_covtype_problem, 8, machine="comet_4ppn", k=2, b=0.2, iters_per_epoch=8
+            tiny_covtype_problem, 8, k=2, b=0.2, iters_per_epoch=8,
+            runtime=RuntimeConfig(machine="comet_4ppn"),
         )
         assert res.sim_time > 0

@@ -27,6 +27,7 @@ from repro.distsim.sparse_collectives import (
 )
 from repro.distsim.trace import Trace
 from repro.exceptions import CommunicatorError, ValidationError
+from repro.runtime import RuntimeConfig
 
 
 def _random_sparse(rng: np.random.Generator, n: int, nnz: int) -> np.ndarray:
@@ -483,7 +484,8 @@ class TestSparseCorruption:
         cluster = BSPCluster(4, "comet_paper", trace=Trace(), injector=plan)
         res = rc_sfista_distributed(
             _solve_problem(density), 4, k=2, S=2, b=0.1, epochs=1, iters_per_epoch=12,
-            estimator="plain", seed=0, monitor_every=4, comm=comm, cluster=cluster,
+            estimator="plain", seed=0, monitor_every=4,
+            runtime=RuntimeConfig(comm=comm, cluster=cluster),
         )
         assert _sha(res.w) == w_sha
         assert _sha(res.history.objective_array) == obj_sha
@@ -497,7 +499,7 @@ class TestSparseCorruption:
     def test_corruption_changes_the_solve(self):
         clean = rc_sfista_distributed(
             _solve_problem(0.08), 4, k=2, S=2, b=0.1, epochs=1, iters_per_epoch=12,
-            estimator="plain", seed=0, monitor_every=4, comm="sparse",
-            cluster=BSPCluster(4, "comet_paper"),
+            estimator="plain", seed=0, monitor_every=4,
+            runtime=RuntimeConfig(comm="sparse", cluster=BSPCluster(4, "comet_paper")),
         )
         assert _sha(clean.w) != "da19d1ab9394d272"

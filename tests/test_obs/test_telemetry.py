@@ -16,6 +16,7 @@ from repro.obs import (
     TelemetryCallback,
     TelemetryRecorder,
 )
+from repro.runtime import RuntimeConfig
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +27,10 @@ def problem():
     return L1LeastSquares(X, y, lam=0.1)
 
 
-def _solve(problem, **kwargs):
+def _solve(problem, **knobs):
     return rc_sfista_distributed(
-        problem, 4, k=2, S=2, epochs=2, iters_per_epoch=8, seed=1, comm="auto", **kwargs
+        problem, 4, k=2, S=2, epochs=2, iters_per_epoch=8, seed=1,
+        runtime=RuntimeConfig(comm="auto", **knobs),
     )
 
 
@@ -84,8 +86,8 @@ class TestRcSfistaDistTelemetry:
         cluster = BSPCluster(4, "comet_effective")
         with pytest.raises(ValidationError):
             rc_sfista_distributed(
-                problem, 4, cluster=cluster, metrics=MetricsRegistry(),
-                epochs=1, iters_per_epoch=4,
+                problem, 4, epochs=1, iters_per_epoch=4,
+                runtime=RuntimeConfig(cluster=cluster, metrics=MetricsRegistry()),
             )
 
     def test_report_round_trip(self, problem, tmp_path):
@@ -111,7 +113,7 @@ class TestProxNewtonTelemetry:
         rec = TelemetryRecorder()
         res = proximal_newton_distributed(
             problem, 4, inner="rc_sfista", n_outer=3, inner_iters=6, k=2, S=2,
-            seed=1, telemetry=rec, metrics=MetricsRegistry(),
+            seed=1, runtime=RuntimeConfig(telemetry=rec, metrics=MetricsRegistry()),
         )
         inner = [r for r in rec.records if r.phase == "inner"]
         outer = [r for r in rec.records if r.phase == "outer"]
@@ -123,12 +125,14 @@ class TestProxNewtonTelemetry:
 
 class TestSpmdTelemetry:
     def test_records_and_harvested_trace(self, problem):
-        bare = rc_sfista_spmd(problem, 4, k=2, n_iterations=8, seed=1, comm="auto")
+        bare = rc_sfista_spmd(
+            problem, 4, k=2, n_iterations=8, seed=1, runtime=RuntimeConfig(comm="auto")
+        )
         rec = TelemetryRecorder()
         reg = MetricsRegistry()
         observed = rc_sfista_spmd(
-            problem, 4, k=2, n_iterations=8, seed=1, comm="auto",
-            telemetry=rec, metrics=reg,
+            problem, 4, k=2, n_iterations=8, seed=1,
+            runtime=RuntimeConfig(comm="auto", telemetry=rec, metrics=reg),
         )
         assert np.array_equal(bare.w, observed.w)
         assert bare.cost == observed.cost

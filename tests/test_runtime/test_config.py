@@ -1,9 +1,14 @@
-"""RuntimeConfig validation and the legacy-kwarg resolution path."""
+"""RuntimeConfig validation and the solvers' single ``runtime=`` surface."""
 
-import warnings
+import dataclasses
+import inspect
 
 import pytest
 
+from repro.core.prox_newton import proximal_newton_distributed
+from repro.core.rc_sfista_dist import rc_sfista_distributed
+from repro.core.rc_sfista_spmd import rc_sfista_spmd
+from repro.core.sfista_dist import sfista_distributed
 from repro.distsim.bsp import BSPCluster
 from repro.distsim.faults import FaultPlan, RetryPolicy
 from repro.exceptions import ValidationError
@@ -13,7 +18,6 @@ from repro.runtime import (
     FAILURE_POLICIES,
     RuntimeConfig,
     parse_backend_spec,
-    resolve_runtime,
 )
 
 
@@ -190,31 +194,24 @@ class TestCollectivesV2Knobs:
             )
 
 
-class TestResolveRuntime:
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(ValidationError, match="unknown runtime kwargs"):
-            resolve_runtime(None, machne="comet_effective")
+RUNTIME_SOLVERS = [
+    rc_sfista_distributed,
+    sfista_distributed,
+    proximal_newton_distributed,
+    rc_sfista_spmd,
+]
+CONFIG_FIELDS = {f.name: f.default for f in dataclasses.fields(RuntimeConfig)}
 
-    def test_runtime_plus_moved_legacy_rejected(self):
-        with pytest.raises(ValidationError, match="not both"):
-            resolve_runtime(RuntimeConfig(), checkpoint_every=2)
 
-    def test_runtime_with_default_legacy_passes_through(self):
-        cfg = RuntimeConfig(comm="auto")
-        assert resolve_runtime(cfg, checkpoint_every=0, on_nan=None) is cfg
-
-    def test_deprecated_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="runtime=RuntimeConfig"):
-            cfg = resolve_runtime(None, on_nan="raise", checkpoint_every=3)
-        assert cfg.on_nan == "raise"
-        assert cfg.checkpoint_every == 3
-
-    def test_shape_kwargs_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = resolve_runtime(None, machine="comet_paper", comm="sparse")
-        assert cfg.machine == "comet_paper"
-        assert cfg.comm == "sparse"
+@pytest.mark.parametrize("solver", RUNTIME_SOLVERS, ids=lambda s: s.__name__)
+def test_runtime_is_the_only_runtime_surface(solver):
+    """No solver parameter duplicates a config field; passing one is a TypeError."""
+    params = inspect.signature(solver).parameters
+    assert params["runtime"].default is None
+    assert not set(params) & set(CONFIG_FIELDS)
+    for name, default in CONFIG_FIELDS.items():
+        with pytest.raises(TypeError, match=name):
+            solver(None, 2, **{name: default})
 
 
 class TestParseBackendSpec:

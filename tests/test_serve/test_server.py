@@ -54,6 +54,37 @@ def live():
         yield app
 
 
+class _Latch:
+    """Stands in for FISTA: holds the first solve until the test releases it.
+
+    The live app's worker thread runs in this process, so patching the
+    scheduler's ``fista`` lets a test pin a job in the ``running`` state
+    instead of racing a merely slow solve.
+    """
+
+    def __init__(self, solve):
+        self._solve = solve
+        self.started = threading.Event()
+        self.released = threading.Event()
+
+    def __call__(self, *args, **kwargs):
+        if not self.started.is_set():
+            self.started.set()
+            if not self.released.wait(timeout=60):
+                raise TimeoutError("latched solve was never released")
+        return self._solve(*args, **kwargs)
+
+
+@pytest.fixture
+def latch(monkeypatch):
+    from repro.serve import scheduler
+
+    gate = _Latch(scheduler.fista)
+    monkeypatch.setattr(scheduler, "fista", gate)
+    yield gate
+    gate.released.set()
+
+
 def test_submit_status_result_roundtrip(live):
     client = live.client()
     job_id = client.submit({"problem": _SPEC, "lam": 0.05, "tenant": "http"})
@@ -85,13 +116,15 @@ def test_healthz(live):
     assert payload["queue_depth"] >= 0
 
 
-def test_cancel_over_http(live):
+def test_cancel_over_http(live, latch):
     client = live.client()
     job_id = client.submit({
         "problem": _SPEC, "lam": 0.001, "max_iter": 60000,
         "rel_change_tol": None, "warm_start": False,
     })
+    assert latch.started.wait(timeout=30)
     cancelled = client.cancel(job_id)
+    latch.released.set()
     assert cancelled["state"] in ("cancelled", "running")
     with pytest.raises(ServeHTTPError) as excinfo:
         client.result(job_id, timeout=30)
@@ -143,15 +176,19 @@ class TestHttpErrors:
             live.client()._checked("GET", "/v1/jobs")
         assert excinfo.value.status == 405
 
-    def test_queue_full_is_429_with_retry_after(self):
+    def test_queue_full_is_429_with_retry_after(self, latch):
         with _LiveApp(max_workers=1, queue_limit=1) as small:
             client = small.client()
-            # Fill the single queue slot behind a slow job.
+            # Fill the single queue slot behind a job latched mid-solve.
             client.submit({"problem": _SPEC, "lam": 0.001, "max_iter": 60000,
                            "rel_change_tol": None})
+            assert latch.started.wait(timeout=30)
             client.submit({"problem": _SPEC, "lam": 0.05, "tenant": "snd"})
-            with pytest.raises(ServeHTTPError) as excinfo:
-                client.submit({"problem": _SPEC, "lam": 0.06, "tenant": "trd"})
+            try:
+                with pytest.raises(ServeHTTPError) as excinfo:
+                    client.submit({"problem": _SPEC, "lam": 0.06, "tenant": "trd"})
+            finally:
+                latch.released.set()
             assert excinfo.value.status == 429
             assert excinfo.value.retryable
             assert excinfo.value.retry_after is not None
