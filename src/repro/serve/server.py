@@ -36,12 +36,13 @@ __all__ = ["ServeApp"]
 
 _MAX_BODY = 8 * 1024 * 1024  # 8 MiB: specs are small; nobody ships matrices
 _MAX_HEADER_LINES = 100
+_READ_TIMEOUT = 10.0  # seconds a client gets to send one whole request
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
+    413: "Payload Too Large", 429: "Too Many Requests",
+    500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
@@ -154,7 +155,14 @@ class ServeApp:
     ) -> None:
         try:
             try:
-                method, target, _headers, body = await _read_request(reader)
+                try:
+                    request = await asyncio.wait_for(_read_request(reader), _READ_TIMEOUT)
+                except TimeoutError:
+                    # A stalled client must not hold its connection forever.
+                    raise _HttpError(
+                        408, f"request not received within {_READ_TIMEOUT:g} s"
+                    ) from None
+                method, target, _headers, body = request
                 response = await self._route(method, target, body)
             except _HttpError as exc:
                 response = _response(

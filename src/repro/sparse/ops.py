@@ -36,13 +36,16 @@ Matrix = np.ndarray | CSRMatrix | CSCMatrix
 
 
 class GramWorkspace:
-    """Reusable scratch buffers for :func:`sampled_gram`/:func:`sampled_rhs`.
+    """Reusable column-block pool for :func:`sampled_gram`/:func:`sampled_rhs`.
 
     Solvers build the sampled Gram matrix every inner iteration with the
-    same ``d`` and (typically) the same sample count ``m̄``, so the dense
-    column block and the pre-symmetrization Gram scratch can be allocated
-    once and reused. Construct one per solver run and pass it to the
-    kernels; results are bit-identical to the allocating path.
+    same ``d`` and (typically) the same sample count ``m̄``. For a sparse
+    ``X`` the densified column block can therefore be gathered into one
+    pool allocated up front and reused. A dense ``X`` never borrows: fancy
+    indexing ``X[:, cols]`` already returns a fresh contiguous block, and
+    it is several times faster than ``np.take`` into a borrowed one.
+    Construct one workspace per solver run and pass it to the kernels;
+    results are bit-identical to the allocating path.
 
     ``reuses`` counts borrows served without growing the pool — it feeds
     the ``gram_workspace_reuses`` runtime counter (see docs/PERFORMANCE.md).
@@ -53,18 +56,15 @@ class GramWorkspace:
         if d < 1:
             raise ShapeError(f"GramWorkspace needs d >= 1, got {d}")
         self._pool = np.empty(d * int(max_cols), dtype=np.float64)
-        self._scratch = np.empty((d, d), dtype=np.float64)
         self.reuses = 0
 
-    def dense_block(self, rows: int, ncols: int, order: str = "C") -> np.ndarray:
-        """Borrow a contiguous ``(rows, ncols)`` float64 block.
+    def dense_block(self, rows: int, ncols: int) -> np.ndarray:
+        """Borrow a C-contiguous ``(rows, ncols)`` float64 block.
 
         The block is a reshaped view of a flat pool (grown on demand), so
-        its memory layout matches a freshly allocated array of the given
-        ``order`` — this matters for bit-identical BLAS results: dense
-        fancy indexing ``X[:, cols]`` yields an F-ordered array, sparse
-        ``to_dense()`` a C-ordered one, and dgemm summation order follows
-        the layout.
+        its memory layout matches the C-ordered array sparse
+        ``to_dense()`` allocates — dgemm summation order follows the
+        layout, so this keeps results bit-identical.
         """
         rows, ncols = int(rows), int(ncols)
         need = rows * ncols
@@ -72,18 +72,7 @@ class GramWorkspace:
             self._pool = np.empty(need, dtype=np.float64)
         else:
             self.reuses += 1
-        flat = self._pool[:need]
-        if order == "F":
-            return flat.reshape(ncols, rows).T
-        return flat.reshape(rows, ncols)
-
-    def gram_scratch(self, d: int) -> np.ndarray:
-        """Borrow the ``(d, d)`` pre-symmetrization scratch."""
-        if self._scratch.shape != (d, d):
-            self._scratch = np.empty((d, d), dtype=np.float64)
-        else:
-            self.reuses += 1
-        return self._scratch
+        return self._pool[:need].reshape(rows, ncols)
 
 
 def _select_columns_dense(
@@ -93,12 +82,6 @@ def _select_columns_dense(
     if isinstance(X, np.ndarray):
         if X.ndim != 2:
             raise ShapeError(f"X must be 2-D, got shape {X.shape}")
-        if workspace is not None:
-            # F-ordered to match the layout (hence BLAS summation order)
-            # of the fancy-indexing path below.
-            block = workspace.dense_block(X.shape[0], len(cols), order="F")
-            np.take(X, cols, axis=1, out=block)
-            return block
         return X[:, cols]
     if isinstance(X, CSRMatrix):
         X = X.to_csc()  # memoized on the CSR instance
@@ -127,42 +110,35 @@ def sampled_gram(
     scale:
         Override for the ``1/m̄`` normalization (``None`` → ``1/len(cols)``).
     workspace:
-        Optional :class:`GramWorkspace`; when given, the dense column
-        block and the pre-symmetrization scratch are borrowed instead of
-        allocated. Results are bit-identical to the allocating path.
+        Optional :class:`GramWorkspace`; when given, a sparse ``X``'s
+        densified column block is borrowed instead of allocated. Results
+        are bit-identical to the allocating path.
     out:
         Optional ``(d, d)`` float64 output buffer, written in place.
 
     Returns
     -------
-    ``(d, d)`` dense symmetric positive semi-definite array.
+    ``(d, d)`` dense array, exactly symmetric and positive semi-definite.
     """
     cols = np.asarray(cols, dtype=np.int64)
     if cols.size == 0:
         raise ShapeError("sampled_gram requires at least one sampled column")
     A = _select_columns_dense(X, cols, workspace)
     s = (1.0 / cols.size) if scale is None else float(scale)
-    if workspace is None:
-        H = A @ A.T
-        H *= s
-        # Enforce exact symmetry: A @ A.T is symmetric in exact arithmetic
-        # but BLAS may leave last-ulp asymmetry that breaks downstream
-        # invariants.
-        H = 0.5 * (H + H.T)
-        if out is None:
-            return H
-        np.copyto(out, H)
-        return out
     d = A.shape[0]
-    scratch = workspace.gram_scratch(d)
-    np.matmul(A, A.T, out=scratch)
-    scratch *= s
     if out is None:
         out = np.empty((d, d), dtype=np.float64)
     elif out.shape != (d, d) or out.dtype != np.float64:
         raise ShapeError(f"out must be float64 of shape {(d, d)}")
-    np.add(scratch, scratch.T, out=out)
-    out *= 0.5
+    # No symmetrization pass is needed: numpy evaluates A @ A.T (one
+    # buffer, one side transposed) with BLAS syrk and copies one triangle
+    # onto the other, and its non-BLAS fallback computes (i, j) and (j, i)
+    # from the same products in the same order, so sG is exactly
+    # symmetric. For such sG, 0.5 * (sG + sGᵀ) = 0.5 * (2 sG) = sG bit for
+    # bit (doubling and halving are exact in binary floating point), save
+    # that sG + sGᵀ overflows to inf where |sG| > DBL_MAX/2.
+    np.matmul(A, A.T, out=out)
+    out *= s
     return out
 
 
@@ -177,8 +153,8 @@ def sampled_rhs(
 ) -> np.ndarray:
     """Sampled right-hand side ``(1/m̄) X_S y_S``.
 
-    ``workspace``/``out`` mirror :func:`sampled_gram`: borrow the dense
-    column block and write the result in place, bit-identically.
+    ``workspace``/``out`` mirror :func:`sampled_gram`: borrow a sparse
+    ``X``'s column block and write the result in place, bit-identically.
     """
     cols = np.asarray(cols, dtype=np.int64)
     if cols.size == 0:

@@ -109,7 +109,7 @@ class TestSolverInvariance:
 
 
 class TestPerfCounters:
-    def test_counters_observe_elided_work(self, small_dense_problem):
+    def test_counters_observe_elided_work(self, small_dense_problem, small_sparse_problem):
         registry = MetricsRegistry()
         cfg = RuntimeConfig(dedup=True, adaptive_restart=True, metrics=registry)
         rc_sfista_spmd(
@@ -118,11 +118,16 @@ class TestPerfCounters:
         )
         hits = registry.counter("runtime_dedup_hits").value()
         misses = registry.counter("runtime_dedup_misses").value()
-        reuses = registry.counter("gram_workspace_reuses").value()
         # 8 updates + 8 monitored objectives, computed once, hit 3 more times.
         assert misses == 16
         assert hits == 48
-        assert reuses > 0
+        # Only a sparse column gather borrows the Gram workspace pool.
+        sparse_registry = MetricsRegistry()
+        rc_sfista_spmd(
+            small_sparse_problem, 4, k=2, b=0.2, n_iterations=8, seed=7,
+            runtime=RuntimeConfig(dedup=True, adaptive_restart=True, metrics=sparse_registry),
+        )
+        assert sparse_registry.counter("gram_workspace_reuses").value() > 0
 
     def test_dedup_off_publishes_no_hit_counters(self, small_dense_problem):
         registry = MetricsRegistry()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -137,23 +138,36 @@ class TestCancellation:
             assert counter.value(tenant="other", state="cancelled") == 1
         _run(main())
 
-    def test_cancel_mid_solve_drops_result(self):
+    def test_cancel_mid_solve_drops_result(self, monkeypatch):
+        from repro.serve import scheduler
+
+        # Hold the solve on a latch so the cancel lands mid-solve for sure,
+        # instead of racing a merely slow 60 000-iteration FISTA.
+        started, released = threading.Event(), threading.Event()
+        solve = scheduler.fista
+
+        def latched(*args, **kwargs):
+            started.set()
+            if not released.wait(timeout=60):
+                raise TimeoutError("latched solve was never released")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "fista", latched)
+
         async def main():
             s = Scheduler()
             await s.start()
             try:
                 job = s.submit(_request(0.0005, max_iter=60000, rel_change_tol=None))
-                # Wait until it is actually running, then cancel.
-                for _ in range(200):
-                    if job.state == "running":
-                        break
-                    await asyncio.sleep(0.005)
+                assert await asyncio.to_thread(started.wait, 30)
                 assert job.state == "running"
                 s.cancel(job.id)
+                released.set()
                 assert await s.wait(job, 60.0)
                 assert job.state == "cancelled"
                 assert job.result is None
             finally:
+                released.set()
                 await s.stop()
         _run(main())
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -192,6 +194,27 @@ class TestHttpErrors:
             assert excinfo.value.status == 429
             assert excinfo.value.retryable
             assert excinfo.value.retry_after is not None
+
+    def test_stalled_request_is_408_and_closed(self, live, monkeypatch):
+        from repro.serve import server
+
+        monkeypatch.setattr(server, "_READ_TIMEOUT", 0.2)
+        stalled = socket.create_connection(live.address, timeout=10)
+        try:
+            stalled.sendall(b"GET /v1/hea")  # half a request line, then silence
+            started = time.monotonic()
+            # Other clients are served while the stalled socket stays open.
+            assert live.client().healthz()["ok"] is True
+            stalled.settimeout(2.0)
+            received = b""
+            while chunk := stalled.recv(4096):  # b"" once the server closes
+                received += chunk
+            closed_after = time.monotonic() - started
+        finally:
+            stalled.close()
+        assert closed_after < 2.0
+        assert received.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert json.loads(received.split(b"\r\n\r\n", 1)[1])["error"]["type"] == "HttpError"
 
 
 def test_fair_scheduling_across_tenants_over_http():
